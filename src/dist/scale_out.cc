@@ -20,32 +20,16 @@ std::vector<std::shared_ptr<Catalog>> PartitionCatalog(
     catalogs.push_back(std::make_shared<Catalog>());
   }
   for (const std::string& name : full.TableNames()) {
-    const TablePtr table = *full.GetTable(name);
     const bool sharded =
         std::find(shard_tables.begin(), shard_tables.end(), name) !=
         shard_tables.end();
     if (!sharded || num_sites == 1) {
-      catalogs[0]->RegisterTable(table).CheckOK();
+      catalogs[0]->RegisterTable(*full.GetTable(name)).CheckOK();
       continue;
     }
-    std::vector<TablePtr> shards;
-    for (int s = 0; s < num_sites; ++s) {
-      auto shard = std::make_shared<Table>(name, table->schema());
-      shard->Reserve(table->num_rows() / static_cast<size_t>(num_sites) + 1);
-      shard->SetPrimaryKey(table->primary_key());
-      for (const Table::ForeignKey& fk : table->foreign_keys()) {
-        shard->AddForeignKey(fk.col, fk.ref_table, fk.ref_col);
-      }
-      shards.push_back(std::move(shard));
-    }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      shards[r % static_cast<size_t>(num_sites)]->AppendRowFrom(*table, r);
-    }
-    for (int s = 0; s < num_sites; ++s) {
-      shards[static_cast<size_t>(s)]->ComputeStats();
-      catalogs[static_cast<size_t>(s)]
-          ->RegisterTable(shards[static_cast<size_t>(s)])
-          .CheckOK();
+    const std::vector<TablePtr> shards = *full.GetShards(name, num_sites);
+    for (size_t s = 0; s < shards.size(); ++s) {
+      catalogs[s]->RegisterTable(shards[s]).CheckOK();
     }
   }
   return catalogs;

@@ -1,6 +1,7 @@
 // Scale-out scenarios: TPC-H Q17 and the IBM subquery workload executed as
 // genuinely partitioned multi-site plans. LINEITEM / PARTSUPP is sharded
-// round-robin across N sites (as ingest would leave it); per-site map
+// round-robin across N sites (as ingest would leave it, and only once per
+// table version: see PartitionCatalog); per-site map
 // fragments re-shuffle the shards by join key (hash exchange), small
 // filtered inputs are replicated (broadcast exchange), every site runs the
 // join/aggregate block over its key range, and a coordinator fragment
@@ -84,9 +85,14 @@ enum class ScaleOutQuery {
 
 const char* ScaleOutQueryName(ScaleOutQuery query);
 
-/// Round-robin-shards each table in `shard_tables` across `num_sites`
-/// catalogs; every other table is registered at site 0 only. Stats and
-/// key/FK metadata are recomputed per shard.
+/// Fresh per-site catalogs over `full`: each table in `shard_tables` is
+/// split round-robin across `num_sites` sites, every other table is
+/// registered at site 0 only. The shards come from Catalog::GetShards, so
+/// a table version is sharded once per site count — like ingest — and
+/// every later query and serving session registers the same read-only
+/// shard tables (with their own stats and key/FK metadata) instead of
+/// copying the table again. The price is memory: a version's shards live
+/// as long as `full` holds that version, one copy per site count used.
 std::vector<std::shared_ptr<Catalog>> PartitionCatalog(
     const Catalog& full, const std::vector<std::string>& shard_tables,
     int num_sites);

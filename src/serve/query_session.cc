@@ -105,8 +105,6 @@ QueryServer::QueryServer(std::shared_ptr<Catalog> catalog,
   if (opts_.num_sites > 1) {
     mesh_ = std::make_shared<SiteMesh>(opts_.num_sites, opts_.bandwidth_bps,
                                        opts_.latency_ms);
-    shards_ = std::make_shared<const ShardCatalogs>(PartitionCatalog(
-        *catalog_, opts_.sharded_tables, opts_.num_sites));
   }
 }
 
@@ -419,11 +417,8 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
                            catalog_->GetTableWithVersion(q.build_table));
   PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe_full,
                            catalog_->GetTable(q.probe_table));
-  std::shared_ptr<const ShardCatalogs> shards;
-  {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards = shards_;
-  }
+  const std::vector<std::shared_ptr<Catalog>> shards =
+      PartitionCatalog(*catalog_, opts_.sharded_tables, N);
 
   // Per-session sites/channels over the server's one shared mesh: links
   // are the only contended resource, and Transmit bills this session's
@@ -434,7 +429,7 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
   for (int i = 0; i < N; ++i) {
     dq->sites.push_back(std::make_unique<SiteEngine>(
         i, "serve" + std::to_string(s->id) + "_s" + std::to_string(i),
-        (*shards)[static_cast<size_t>(i)]));
+        shards[static_cast<size_t>(i)]));
     dq->sites.back()->context().set_batch_size(opts_.batch_size);
     dq->sites.back()->context().set_exchange_idle_timeout_sec(
         opts_.exchange_idle_timeout_sec);
@@ -462,7 +457,7 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
     PlanBuilder& pb = site.NewFragment();
     PUSHSIP_ASSIGN_OR_RETURN(
         TablePtr shard,
-        (*shards)[static_cast<size_t>(i)]->GetTable(q.probe_table));
+        shards[static_cast<size_t>(i)]->GetTable(q.probe_table));
     PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
                              pb.ScanTable(shard, probe_schema, scan_opts));
     PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId proj,
@@ -604,12 +599,6 @@ Status QueryServer::ReplaceTable(TablePtr table) {
   // Version-keying already makes the old summaries unreachable; eviction
   // just frees their bytes immediately.
   cache_.Invalidate(name);
-  if (opts_.num_sites > 1) {
-    auto fresh = std::make_shared<const ShardCatalogs>(PartitionCatalog(
-        *catalog_, opts_.sharded_tables, opts_.num_sites));
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    shards_ = std::move(fresh);
-  }
   return Status::OK();
 }
 

@@ -93,8 +93,8 @@ struct ServeOptions {
   double scan_delay_ms = 0;
   /// >1 runs sessions as distributed queries over one shared SiteMesh,
   /// with every table in `sharded_tables` partitioned round-robin across
-  /// sites at server construction. A query whose probe table is not
-  /// sharded falls back to single-site execution.
+  /// sites (once per table version, by the catalog, on first use). A query
+  /// whose probe table is not sharded falls back to single-site execution.
   int num_sites = 1;
   double bandwidth_bps = 1e9;
   double latency_ms = 0.1;
@@ -141,10 +141,11 @@ class QueryServer {
 
   SessionState state(SessionId id) const;
 
-  /// Replaces `table` in the shared catalog (bumping its version), evicts
-  /// the cache entries derived from it, and re-shards it for multi-site
-  /// serving. In-flight sessions keep the snapshot they started with; only
-  /// sessions submitted afterwards see (and cache against) the new data.
+  /// Replaces `table` in the shared catalog (bumping its version and
+  /// dropping its old shards) and evicts the cache entries derived from
+  /// it. In-flight sessions keep the snapshot they started with; only
+  /// sessions submitted afterwards see (and cache against) the new data,
+  /// and the first multi-site one among them shards the new version.
   Status ReplaceTable(TablePtr table);
 
   /// Stops accepting sessions and drains the worker pool (queued sessions
@@ -195,13 +196,10 @@ class QueryServer {
   ThreadPool pool_;
 
   /// Multi-site substrate, built once (num_sites > 1): the mesh every
-  /// session's fragments transmit over, and the sharded catalogs their
-  /// shard scans snapshot from (rebuilt wholesale by ReplaceTable; the
-  /// shared_ptr swap keeps a building session's view torn-free).
+  /// session's fragments transmit over. Shards are not held here: each
+  /// session takes the catalog's memoized shards of the versions it reads
+  /// (PartitionCatalog).
   std::shared_ptr<SiteMesh> mesh_;
-  using ShardCatalogs = std::vector<std::shared_ptr<Catalog>>;
-  std::shared_ptr<const ShardCatalogs> shards_;
-  mutable std::mutex shards_mu_;
 
   mutable std::mutex admit_mu_;
   std::condition_variable admit_cv_;

@@ -22,6 +22,7 @@ Status Catalog::ReplaceTable(TablePtr table) {
   if (it == tables_.end()) return Status::NotFound("no table named " + name);
   it->second.table = std::move(table);
   ++it->second.version;
+  shard_sets_.erase(name);
   return Status::OK();
 }
 
@@ -65,6 +66,25 @@ size_t Catalog::FootprintBytes() const {
   size_t bytes = 0;
   for (const auto& [_, vt] : tables_) bytes += vt.table->FootprintBytes();
   return bytes;
+}
+
+Result<std::vector<TablePtr>> Catalog::GetShards(const std::string& name,
+                                                 int num_sites) const {
+  if (num_sites < 1) return Status::InvalidArgument("num_sites must be >= 1");
+  TablePtr table;
+  std::shared_ptr<ShardSet> set;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = tables_.find(name);
+    if (it == tables_.end()) return Status::NotFound("no table named " + name);
+    table = it->second.table;
+    std::shared_ptr<ShardSet>& slot = shard_sets_[name][num_sites];
+    if (slot == nullptr) slot = std::make_shared<ShardSet>();
+    set = slot;
+  }
+  std::call_once(set->built,
+                 [&] { set->shards = ShardRoundRobin(*table, num_sites); });
+  return set->shards;
 }
 
 }  // namespace pushsip

@@ -1,4 +1,5 @@
-// Catalog: named tables plus a per-query attribute-id allocator.
+// Catalog: named tables, their versions, and the round-robin shards derived
+// from each version.
 #ifndef PUSHSIP_STORAGE_CATALOG_H_
 #define PUSHSIP_STORAGE_CATALOG_H_
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "storage/table.h"
 
@@ -29,12 +31,18 @@ struct VersionedTable {
 /// sessions and may regenerate tables between queries. Tables themselves
 /// stay immutable — "mutation" is replacing the TablePtr, which bumps the
 /// version while in-flight queries keep scanning their old snapshot.
+///
+/// Shards are derived artifacts of a table version: GetShards builds the
+/// round-robin split of a version once per site count and hands every
+/// caller the same immutable shard tables, which stay alive while the
+/// catalog still holds that version (or a running query still scans them).
 class Catalog {
  public:
   Status RegisterTable(TablePtr table);
 
-  /// Swaps the table registered under `table->name()` for `table` and bumps
-  /// its version. NotFound if no table of that name was ever registered.
+  /// Swaps the table registered under `table->name()` for `table`, bumps
+  /// its version and drops the shards built from the old version. NotFound
+  /// if no table of that name was ever registered.
   Status ReplaceTable(TablePtr table);
 
   Result<TablePtr> GetTable(const std::string& name) const;
@@ -54,9 +62,29 @@ class Catalog {
   /// Total bytes across all registered tables.
   size_t FootprintBytes() const;
 
+  /// The current version of `name` split round-robin across `num_sites`
+  /// (ShardRoundRobin). Built on first request for a (version, num_sites)
+  /// pair and shared read-only afterwards. The build runs outside the
+  /// catalog lock, so it never blocks GetTable, and single-flight, so
+  /// concurrent first callers wait for one build rather than each copying
+  /// the table.
+  Result<std::vector<TablePtr>> GetShards(const std::string& name,
+                                          int num_sites) const;
+
  private:
+  struct ShardSet {
+    std::once_flag built;
+    std::vector<TablePtr> shards;
+  };
+
   mutable std::mutex mu_;
   std::unordered_map<std::string, VersionedTable> tables_;
+  /// name -> num_sites -> shards of the table's current version. Entries
+  /// exist only for current versions: ReplaceTable erases a name's entries
+  /// under the same lock that bumps its version.
+  mutable std::unordered_map<std::string,
+                             std::unordered_map<int, std::shared_ptr<ShardSet>>>
+      shard_sets_;
 };
 
 }  // namespace pushsip

@@ -96,7 +96,8 @@ class Table {
   };
   const std::vector<ForeignKey>& foreign_keys() const { return foreign_keys_; }
 
-  /// Recomputes per-column NDV and min/max. Call once after loading.
+  /// Recomputes per-column NDV (distinct HashAt values) and min/max
+  /// (Value::Compare order, NULLs skipped). Call once after loading.
   void ComputeStats();
   const ColumnStats& column_stats(size_t col) const { return stats_[col]; }
   bool has_stats() const { return !stats_.empty(); }
@@ -115,6 +116,12 @@ class Table {
 };
 
 using TablePtr = std::shared_ptr<Table>;
+
+/// Round-robin shards of `table` across `num_sites` (row r lands in shard
+/// r % num_sites), each carrying the key/FK metadata and its own stats —
+/// what a round-robin ingest would leave at every site. String columns
+/// keep reading the source table's dictionaries.
+std::vector<TablePtr> ShardRoundRobin(const Table& table, int num_sites);
 
 }  // namespace pushsip
 

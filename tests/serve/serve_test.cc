@@ -454,5 +454,53 @@ TEST(ServeMeshTest, WarmMeshQueryShipsFewerBytes) {
   EXPECT_GT(warm->stats.rows_source_pruned, 0);
 }
 
+// Sessions do not re-shard: every multi-site session scans the catalog's
+// memoized shards of the probe table's current version. Replacing the
+// probe table drops those shards (nothing else holds them once the
+// sessions that scanned them are done), and the next session shards and
+// answers over the new rows.
+TEST(ServeMeshTest, SessionsShareCatalogShardsAcrossReplaceTable) {
+  auto catalog = TinyTpchCatalog();
+  const ServeQuery q = PartQuery(25);
+  ServeOptions opts = MeshOptions(4);
+  opts.aip_cache_budget_bytes = 0;  // every session scans every shard row
+  QueryServer server(catalog, opts);
+  const auto run = [&] {
+    auto id = server.Submit(q);
+    EXPECT_TRUE(id.ok());
+    auto res = server.Wait(*id);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    return res.ok() ? res->rows : std::vector<Tuple>{};
+  };
+
+  const std::vector<Tuple> old_answer = *ReferenceRows(catalog, q);
+  ASSERT_EQ(old_answer.size(), 1u);
+  std::weak_ptr<Table> old_shard;
+  {
+    ExpectRowsEqual(run(), old_answer);
+    const std::vector<TablePtr> shards = *catalog->GetShards("lineitem", 4);
+    ExpectRowsEqual(run(), old_answer);
+    EXPECT_EQ(*catalog->GetShards("lineitem", 4), shards);
+    old_shard = shards[0];
+  }
+
+  // New lineitem: every other row of the old one.
+  const TablePtr old = *catalog->GetTable("lineitem");
+  auto half = std::make_shared<Table>("lineitem", old->schema());
+  for (size_t r = 0; r < old->num_rows(); r += 2) half->AppendRowFrom(*old, r);
+  half->SetPrimaryKey(old->primary_key());
+  half->ComputeStats();
+  ASSERT_TRUE(server.ReplaceTable(half).ok());
+  EXPECT_TRUE(old_shard.expired());
+
+  const std::vector<Tuple> want = *ReferenceRows(catalog, q);
+  ASSERT_NE(want[0].at(0).Compare(old_answer[0].at(0)), 0);
+  ExpectRowsEqual(run(), want);
+  const std::vector<TablePtr> fresh = *catalog->GetShards("lineitem", 4);
+  size_t rows = 0;
+  for (const TablePtr& shard : fresh) rows += shard->num_rows();
+  EXPECT_EQ(rows, half->num_rows());
+}
+
 }  // namespace
 }  // namespace pushsip

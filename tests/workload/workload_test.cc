@@ -122,11 +122,18 @@ TEST(WorkloadTest, FeedForwardReducesStateOnQ1A) {
 }
 
 TEST(WorkloadTest, CostBasedMakesDecisions) {
+  auto base = RunExperiment(BaseConfig(QueryId::kQ1A, Strategy::kBaseline));
   auto r = RunExperiment(BaseConfig(QueryId::kQ1A, Strategy::kCostBased));
+  ASSERT_TRUE(base.ok());
   ASSERT_TRUE(r.ok());
-  // The cost-based manager must have at least evaluated candidates; on Q1A
-  // the child side completes first and filters the top join profitably.
-  EXPECT_GE(r->aip_sets + r->aip_filters, 0);
+  // On Q1A the child side completes first and the cost-based manager finds
+  // filtering the top join profitable: it must build at least one set and
+  // attach at least one filter. How many varies with thread timing (most
+  // runs give 9 sets / 10 filters, the fewest seen 1 / 2), so only the
+  // existence is asserted — and that acting on them kept the answer.
+  EXPECT_GT(r->aip_sets, 0);
+  EXPECT_GT(r->aip_filters, 0);
+  EXPECT_EQ(r->result_hash, base->result_hash);
 }
 
 TEST(WorkloadTest, DelayedInputsStillCorrect) {
