@@ -114,13 +114,19 @@ class Result {
     return ok() ? kOk : std::get<Status>(var_);
   }
 
-  T& operator*() {
+  T& operator*() & {
     assert(ok());
     return std::get<T>(var_);
   }
-  const T& operator*() const {
+  const T& operator*() const& {
     assert(ok());
     return std::get<T>(var_);
+  }
+  /// On a temporary Result the value moves out, so `*f()` stays valid
+  /// after the Result dies (e.g. as a range-for expression).
+  T operator*() && {
+    assert(ok());
+    return std::move(std::get<T>(var_));
   }
   T* operator->() { return &**this; }
   const T* operator->() const { return &**this; }

@@ -23,28 +23,12 @@ TableScan* FragmentReplayScan(const PlanBuilder& fragment) {
   return scan;
 }
 
-bool EnableFragmentReplay(PlanBuilder& fragment) {
+TableScan* EnableFragmentReplay(PlanBuilder& fragment) {
   TableScan* scan = FragmentReplayScan(fragment);
-  if (scan == nullptr) return false;
-  static_cast<ExchangeSender*>(fragment.terminal())->BindSeqSource(scan);
-  return true;
-}
-
-Result<RebuiltFragment> FinishRebuiltFragment(
-    SiteEngine& host, std::unique_ptr<PlanBuilder> fragment,
-    PlanBuilder::NodeId root, std::unique_ptr<ExchangeSender> sender) {
-  PlanBuilder& pb = *fragment;
-  ExchangeSender* sender_raw = sender.get();
-  PUSHSIP_RETURN_NOT_OK(pb.FinishWith(root, std::move(sender)));
-  if (!EnableFragmentReplay(pb)) {
-    return Status::Internal("rebuilt fragment lost its replayable shape");
+  if (scan != nullptr) {
+    static_cast<ExchangeSender*>(fragment.terminal())->BindSeqSource(scan);
   }
-  host.PublishFragment(std::move(fragment));
-  RebuiltFragment built;
-  built.fragment = &pb;
-  built.scan = pb.source_scans()[0];
-  built.sender = sender_raw;
-  return built;
+  return scan;
 }
 
 void DistributedQuery::Cancel() {

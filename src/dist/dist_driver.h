@@ -94,38 +94,30 @@ TableScan* FragmentReplayScan(const PlanBuilder& fragment);
 
 /// Binds the fragment's ExchangeSender to its scan's window index when the
 /// fragment has the replayable shape, making it eligible for restart.
-/// Returns true iff the binding was made.
-bool EnableFragmentReplay(PlanBuilder& fragment);
+/// Returns the bound replay scan, or nullptr when no binding was made.
+TableScan* EnableFragmentReplay(PlanBuilder& fragment);
 
 /// A fragment freshly materialized on another site by a rebuild recipe.
 struct RebuiltFragment {
   PlanBuilder* fragment = nullptr;  ///< owned by the hosting SiteEngine
-  TableScan* scan = nullptr;        ///< the replay scan (seq source)
+  /// The replay scan (seq source); null for an exchange-fed fragment,
+  /// which recovery restores from a checkpoint instead.
+  TableScan* scan = nullptr;
   ExchangeSender* sender = nullptr; ///< terminal; AdoptStream pending
 };
 
-/// Shared tail of every rebuild recipe: terminates the fully-built
-/// detached `fragment` with `sender`, re-verifies the replayable shape
-/// (binding the sender's seqs to the scan), publishes it on `host` — the
-/// point it becomes visible to concurrent filter attachment — and returns
-/// the handles migration needs. Keeping this in one place keeps the
-/// publication invariant (never publish a half-built fragment mid-query)
-/// out of the individual recipes.
-Result<RebuiltFragment> FinishRebuiltFragment(
-    SiteEngine& host, std::unique_ptr<PlanBuilder> fragment,
-    PlanBuilder::NodeId root, std::unique_ptr<ExchangeSender> sender);
-
-/// Re-materializes one replayable fragment on an arbitrary host site,
-/// scanning the *original* partition (migration assumes the shard's data is
-/// readable from the destination — a replica; the simulation shares the
-/// TablePtr). The recipe must feed the same channels with the same schema
-/// so consumers cannot tell a migrated producer from a rebooted one.
+/// Re-materializes one fragment on an arbitrary host site, scanning the
+/// *original* partition (migration assumes the shard's data is readable
+/// from the destination — a replica; the simulation shares the TablePtr).
+/// The recipe must feed the same channels with the same schema so
+/// consumers cannot tell a migrated producer from a rebooted one. The
+/// PlanFragmenter builds the one recipe every registered fragment uses.
 using FragmentRebuildFn =
     std::function<Result<RebuiltFragment>(SiteEngine& host, int host_site)>;
 
 /// Assembly-time registration of a fragment the adaptive runtime may move:
-/// populated by the scale-out builder and the PlanFragmenter for every
-/// replayable fragment, consumed by adaptive::InstallAdaptiveRuntime.
+/// populated by the PlanFragmenter for every replayable or stateful
+/// fragment, consumed by adaptive::InstallAdaptiveRuntime.
 struct MigratableFragmentSpec {
   PlanBuilder* fragment = nullptr;
   TableScan* scan = nullptr;

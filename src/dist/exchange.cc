@@ -352,8 +352,8 @@ Status ExchangeReceiver::Run() {
     // Deterministic chaos kill: frame N never makes it into the fragment —
     // it dies with this attempt, exactly like a frame consumed moments
     // before a site crash.
-    if (options_.fail_after_frames > 0 && !chaos_fired_ &&
-        ++frames_seen >= options_.fail_after_frames) {
+    if (fail_after_frames_ > 0 && !chaos_fired_ &&
+        ++frames_seen >= fail_after_frames_) {
       chaos_fired_ = true;
       // Same backpressure release as the idle-timeout death above: the
       // producers keep running after this receiver dies and must not park
@@ -461,7 +461,7 @@ Status ExchangeReceiver::SnapshotReplayState(std::string* out) const {
 
 Status ExchangeReceiver::RestoreReplayState(const std::string& blob) {
   serde::Reader reader(blob);
-  uint32_t num_progress;
+  uint32_t num_progress = 0;
   PUSHSIP_RETURN_NOT_OK(reader.ReadU32(&num_progress));
   progress_.clear();
   for (uint32_t i = 0; i < num_progress; ++i) {

@@ -213,12 +213,6 @@ struct ReceiverOptions {
   /// bit-identical output across backends — what the sim-vs-TCP parity
   /// check asserts. Costs the stream's full buffering; off by default.
   bool ordered_merge = false;
-  /// Chaos knob: after this many accepted frames the receiver fails once
-  /// with kUnavailable, dropping the triggering frame exactly as a site
-  /// crash mid-stream would — the deterministic way to kill a stateful
-  /// consumer fragment mid-join-build on either transport. Fires at most
-  /// once per receiver (a recovered attempt runs clean). 0 disables.
-  int64_t fail_after_frames = 0;
 };
 
 /// \brief Source operator of a consuming fragment: drains one channel,
@@ -264,6 +258,14 @@ class ExchangeReceiver : public SourceOperator {
   /// checkpoint (the pre-existing stateless recovery path).
   void ClearReplayState();
 
+  /// Chaos: after `after_frames` accepted frames the receiver fails once
+  /// with kUnavailable, dropping the triggering frame exactly as a site
+  /// crash mid-stream would — the deterministic way to kill a stateful
+  /// consumer fragment mid-join-build on either transport. Fires at most
+  /// once per receiver (a recovered attempt runs clean). 0 disables. Call
+  /// before the receiver runs.
+  void ArmFailure(int64_t after_frames) { fail_after_frames_ = after_frames; }
+
   /// Frames accepted and emitted downstream.
   int64_t batches_received() const { return batches_received_.load(); }
   /// Frames dropped as duplicates (replay of an already-passed seq) or as
@@ -307,7 +309,8 @@ class ExchangeReceiver : public SourceOperator {
   /// Set by RestoreReplayState: tolerate (discard + count) decode errors
   /// from frames of superseded epochs still in the transport pipeline.
   bool restored_ = false;
-  /// Latch for ReceiverOptions::fail_after_frames — survives
+  int64_t fail_after_frames_ = 0;
+  /// Latch for fail_after_frames_ — survives
   /// ResetForReplay-less restarts so the chaos kill fires exactly once.
   bool chaos_fired_ = false;
   std::atomic<int64_t> batches_received_{0};

@@ -202,7 +202,6 @@ Result<SiteRunResult> RunScaleOutSite(const SiteProcessOptions& options,
                            BuildScaleOutQuery(options.query, catalog, so));
   query->transport = transport;
   query->local_site = options.site;
-  query->root_site = 0;
   PUSHSIP_RETURN_NOT_OK(WireTransport(*query, transport));
 
   SiteEngine* local_engine = nullptr;

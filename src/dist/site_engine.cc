@@ -14,10 +14,6 @@ SiteEngine::SiteEngine(int id, std::string name,
 
 SiteEngine::~SiteEngine() = default;
 
-PlanBuilder& SiteEngine::NewFragment() {
-  return PublishFragment(NewDetachedFragment());
-}
-
 std::unique_ptr<PlanBuilder> SiteEngine::NewDetachedFragment() {
   return std::make_unique<PlanBuilder>(&ctx_, catalog_);
 }
@@ -69,15 +65,6 @@ Status SiteEngine::InstallAip(size_t index, const AipOptions& options,
   aip_managers_.push_back(
       std::make_unique<AipManager>(&ctx_, options, cost));
   return aip_managers_.back()->Install(fragments_[index]->sip_info());
-}
-
-std::vector<SourceOperator*> SiteEngine::AllSources() const {
-  std::vector<SourceOperator*> sources;
-  std::lock_guard<std::mutex> lock(fragments_mu_);
-  for (const auto& fragment : fragments_) {
-    for (SourceOperator* s : fragment->sources()) sources.push_back(s);
-  }
-  return sources;
 }
 
 int SiteEngine::AttachRemoteFilter(AttrId attr,

@@ -30,17 +30,10 @@ class SiteEngine {
   ExecContext& context() { return ctx_; }
   const std::shared_ptr<Catalog>& catalog() const { return catalog_; }
 
-  /// Creates a new (empty) plan fragment hosted on this site. The returned
-  /// builder is owned by the engine and shares the site's ExecContext.
-  /// Assembly-time only: the fragment is immediately visible to
-  /// AttachRemoteFilter, so it must not be populated while the query runs
-  /// (use NewDetachedFragment/PublishFragment for that).
-  PlanBuilder& NewFragment();
-
-  /// Mid-query fragment construction (migration rebuilds): the returned
-  /// builder is bound to this site's context and catalog but not yet
-  /// visible to concurrent AttachRemoteFilter calls; hand it to
-  /// PublishFragment once fully built.
+  /// Fragment construction: the returned builder is bound to this site's
+  /// context and catalog but not yet visible to concurrent
+  /// AttachRemoteFilter calls; hand it to PublishFragment once fully built
+  /// (the engine then owns it). Safe mid-query (migration rebuilds).
   std::unique_ptr<PlanBuilder> NewDetachedFragment();
   PlanBuilder& PublishFragment(std::unique_ptr<PlanBuilder> fragment);
 
@@ -55,9 +48,6 @@ class SiteEngine {
   const std::vector<std::unique_ptr<AipManager>>& aip_managers() const {
     return aip_managers_;
   }
-
-  /// Source operators of every fragment on this site, in creation order.
-  std::vector<SourceOperator*> AllSources() const;
 
   /// Attaches `set` as a source filter on every scan of this site whose
   /// schema carries `attr` (the delivery end of cross-site AIP shipping).

@@ -24,9 +24,6 @@ class RemoteNode {
 
   /// Decorates scan options so every emitted batch crosses this node's link.
   ScanOptions WrapScanOptions(ScanOptions base = {}) const {
-    std::shared_ptr<SimLink> link = link_;
-    // A RemoteNode link has no fault injector, so the status is always OK.
-    base.transfer_hook = [link](size_t bytes) { (void)link->Transmit(bytes); };
     base.link = link_;
     return base;
   }

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "dist/exchange.h"
-#include "dist/scale_out.h"
+#include "dist/plan_fragmenter.h"
 #include "expr/expression.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
-#include "workload/plan_builder.h"
 
 namespace pushsip {
 
@@ -68,6 +66,33 @@ class SummaryCollector : public TupleFilter {
 /// Canonical string of the cacheable build-side predicate.
 std::string PredicateFingerprint(const ServeQuery& q) {
   return q.build_filter_col + "<" + std::to_string(q.build_filter_upper);
+}
+
+/// The served query as one LogicalPlan: the filtered build side ("b")
+/// joined with the probe side ("r") projected to the columns the join and
+/// the aggregate read, then a global COUNT(*) (+ SUM).
+LogicalPlan::NodeId ServePlan(LogicalPlan* lp, const ServeQuery& q,
+                              const ScanOptions& scan) {
+  const std::string filter_col = "b." + q.build_filter_col;
+  const int64_t upper = q.build_filter_upper;
+  const LogicalPlan::NodeId b = lp->Filter(
+      lp->Scan(q.build_table, "b", scan),
+      [filter_col, upper](const Schema& s) -> Result<ExprPtr> {
+        PUSHSIP_ASSIGN_OR_RETURN(ExprPtr col, ColNamed(s, filter_col));
+        return Cmp(CmpOp::kLt, std::move(col), LitInt(upper));
+      },
+      q.build_selectivity);
+  std::vector<std::string> probe_cols{"r." + q.probe_key};
+  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
+  if (!q.probe_agg_col.empty()) {
+    probe_cols.push_back("r." + q.probe_agg_col);
+    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
+  }
+  const LogicalPlan::NodeId r =
+      lp->Project(lp->Scan(q.probe_table, "r", scan), probe_cols);
+  const LogicalPlan::NodeId j =
+      lp->Join(b, r, {{"b." + q.build_key, "r." + q.probe_key}});
+  return lp->Aggregate(j, {}, aggs);
 }
 
 }  // namespace
@@ -144,7 +169,7 @@ Result<QueryServer::SessionId> QueryServer::Submit(const ServeQuery& query) {
           : static_cast<int64_t>(probe->FootprintBytes() +
                                  build->FootprintBytes());
   s->run_on_mesh =
-      opts_.num_sites > 1 &&
+      opts_.num_sites > 1 && query.probe_table != query.build_table &&
       std::find(opts_.sharded_tables.begin(), opts_.sharded_tables.end(),
                 query.probe_table) != opts_.sharded_tables.end();
   {
@@ -268,23 +293,28 @@ void QueryServer::RunSession(const SessionPtr& s) {
   s->cv.notify_all();
 }
 
-Result<SessionResult> QueryServer::Execute(const SessionPtr& s) {
-  return s->run_on_mesh ? RunOnMesh(s) : RunLocal(s);
-}
-
 Status QueryServer::PrepareAipCache(const ServeQuery& q,
-                                    uint64_t build_version,
-                                    size_t build_rows,
-                                    const Schema& build_schema,
-                                    const Schema& probe_schema,
-                                    const std::vector<TableScan*>& probe_scans,
-                                    TableScan* build_scan,
+                                    const VersionedTable& build,
+                                    const DistributedQuery& dq,
                                     SessionResult* out,
                                     std::shared_ptr<AipSet>* collected,
                                     AipCacheKey* key) {
   collected->reset();
   if (opts_.aip_cache_budget_bytes <= 0) return Status::OK();
-  *key = AipCacheKey{q.build_table, build_version, PredicateFingerprint(q),
+  TableScan* build_scan = nullptr;
+  std::vector<TableScan*> probe_scans;
+  for (const auto& site : dq.sites) {
+    for (const auto& fragment : site->fragments()) {
+      for (TableScan* scan : fragment->source_scans()) {
+        if (scan->name() == "scan_b") build_scan = scan;
+        if (scan->name() == "scan_r") probe_scans.push_back(scan);
+      }
+    }
+  }
+  if (build_scan == nullptr || probe_scans.empty()) {
+    return Status::Internal("serve plan lost its scans");
+  }
+  *key = AipCacheKey{q.build_table, build.version, PredicateFingerprint(q),
                      q.build_key};
   const std::string label = "aipcache:" + q.build_table + ":" +
                             key->predicate + "->" + q.build_key;
@@ -301,8 +331,9 @@ Status QueryServer::PrepareAipCache(const ServeQuery& q,
                       "\"table\":\"" + q.build_table + "\"");
   }
   if (cached != nullptr) {
-    PUSHSIP_ASSIGN_OR_RETURN(const int probe_col,
-                             probe_schema.IndexOf("r." + q.probe_key));
+    PUSHSIP_ASSIGN_OR_RETURN(
+        const int probe_col,
+        probe_scans[0]->output_schema().IndexOf("r." + q.probe_key));
     for (TableScan* scan : probe_scans) {
       scan->AttachSourceFilter(
           std::make_shared<AipFilter>(label, probe_col, cached));
@@ -310,205 +341,72 @@ Status QueryServer::PrepareAipCache(const ServeQuery& q,
     out->aip_cache_hit = true;
     return Status::OK();
   }
+  const Schema& build_schema = build_scan->output_schema();
   PUSHSIP_ASSIGN_OR_RETURN(const int filter_col,
                            build_schema.IndexOf("b." + q.build_filter_col));
   PUSHSIP_ASSIGN_OR_RETURN(const int key_col,
                            build_schema.IndexOf("b." + q.build_key));
   auto set = std::make_shared<AipSet>(
-      AipSetKind::kBloom, std::max<size_t>(64, build_rows), /*fpr=*/0.01);
+      AipSetKind::kBloom, std::max<size_t>(64, build.table->num_rows()),
+      /*fpr=*/0.01);
   build_scan->AttachSourceFilter(std::make_shared<SummaryCollector>(
       label + ":collect", filter_col, q.build_filter_upper, key_col, set));
   *collected = std::move(set);
   return Status::OK();
 }
 
-Result<SessionResult> QueryServer::RunLocal(const SessionPtr& s) {
+Result<SessionResult> QueryServer::Execute(const SessionPtr& s) {
   const ServeQuery& q = s->query;
+  const int num_sites = s->run_on_mesh ? opts_.num_sites : 1;
   // Atomic (table, version) snapshot: the version must be the one these
   // exact rows carry, or a summary cached from regenerated data could be
-  // keyed as current and wrongly prune (see serve_cache_test).
+  // keyed as current and wrongly prune (see serve_cache_test). The session
+  // catalogs hold that snapshot, so the plan scans exactly it.
   PUSHSIP_ASSIGN_OR_RETURN(VersionedTable build,
                            catalog_->GetTableWithVersion(q.build_table));
-  PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe, catalog_->GetTable(q.probe_table));
-
-  ExecContext ctx;
-  ctx.set_batch_size(opts_.batch_size);
-  {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->cancel_requested) return Status::Cancelled("session cancelled");
-    s->cancel_hook = [&ctx] { ctx.Cancel(); };
+  std::vector<std::shared_ptr<Catalog>> catalogs;
+  for (int i = 0; i < num_sites; ++i) {
+    catalogs.push_back(std::make_shared<Catalog>());
   }
-  struct HookGuard {
-    SessionPtr s;
-    ~HookGuard() {
-      std::lock_guard<std::mutex> lock(s->mu);
-      s->cancel_hook = nullptr;
+  PUSHSIP_RETURN_NOT_OK(catalogs[0]->RegisterTable(build.table));
+  if (num_sites > 1) {
+    // The catalog's memoized shards of the probe table: one per site.
+    PUSHSIP_ASSIGN_OR_RETURN(const std::vector<TablePtr> shards,
+                             catalog_->GetShards(q.probe_table, num_sites));
+    for (int i = 0; i < num_sites; ++i) {
+      PUSHSIP_RETURN_NOT_OK(catalogs[static_cast<size_t>(i)]->RegisterTable(
+          shards[static_cast<size_t>(i)]));
     }
-  } hook_guard{s};
-
-  ScanOptions scan_opts;
-  scan_opts.delay_every_rows = opts_.scan_delay_every_rows;
-  scan_opts.delay_ms = opts_.scan_delay_ms;
-
-  PlanBuilder pb(&ctx, catalog_);
-  const Schema build_schema = MakeInstanceSchema(*build.table, "b", 0);
-  const Schema probe_schema = MakeInstanceSchema(*probe, "r", 1);
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId bn,
-                           pb.ScanTable(build.table, build_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
-                           pb.ScanTable(probe, probe_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(ExprPtr fcol, pb.ColRef(bn, q.build_filter_col));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId bf,
-      pb.Filter(bn,
-                Cmp(CmpOp::kLt, std::move(fcol),
-                    LitInt(q.build_filter_upper)),
-                q.build_selectivity));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId jn,
-      pb.Join(bf, rn, {{"b." + q.build_key, "r." + q.probe_key}}));
-  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
-  if (!q.probe_agg_col.empty()) {
-    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
+  } else if (q.probe_table != q.build_table) {
+    PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe,
+                             catalog_->GetTable(q.probe_table));
+    PUSHSIP_RETURN_NOT_OK(catalogs[0]->RegisterTable(std::move(probe)));
   }
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId an,
-                           pb.Aggregate(jn, {}, aggs));
-  PUSHSIP_RETURN_NOT_OK(pb.Finish(an));
 
-  TableScan* build_scan = pb.source_scans()[0];
-  TableScan* probe_scan = pb.source_scans()[1];
+  // One plan at every site count. At one site it is a single fragment; at
+  // N sites the probe shards run on every site and are gathered to the
+  // build side at site 0, over the server's shared mesh (links are the
+  // only contended resource, and Transmit bills this session's contexts,
+  // so bytes_shipped stays per-query).
+  ScanOptions scan;
+  scan.delay_every_rows = opts_.scan_delay_every_rows;
+  scan.delay_ms = opts_.scan_delay_ms;
+  LogicalPlan plan;
+  const LogicalPlan::NodeId root = ServePlan(&plan, q, scan);
+  FragmenterOptions fo;
+  fo.batch_size = opts_.batch_size;
+  fo.channel_capacity = opts_.channel_capacity;
+  fo.exchange_idle_timeout_sec = opts_.exchange_idle_timeout_sec;
+  if (num_sites > 1) fo.shared_mesh = mesh_;
+  PlanFragmenter fragmenter(std::move(catalogs));
+  PUSHSIP_ASSIGN_OR_RETURN(std::unique_ptr<DistributedQuery> dq,
+                           fragmenter.Fragment(plan, root, fo));
 
   SessionResult out;
   std::shared_ptr<AipSet> collected;
   AipCacheKey key;
-  PUSHSIP_RETURN_NOT_OK(PrepareAipCache(
-      q, build.version, build.table->num_rows(), build_schema, probe_schema,
-      {probe_scan}, build_scan, &out, &collected, &key));
-
-  // The session occupies exactly one pooled worker: sources run
-  // sequentially on this thread, which the symmetric (doubly-pipelined)
-  // join accepts as just another input interleaving.
-  Stopwatch timer;
-  for (SourceOperator* src : pb.sources()) {
-    if (ctx.cancelled()) break;
-    const Status st = src->Run();
-    if (!st.ok() && st.code() != StatusCode::kCancelled) ctx.SetError(st);
-    if (!ctx.GetError().ok()) break;
-  }
-  PUSHSIP_RETURN_NOT_OK(ctx.GetError());
-  if (ctx.cancelled()) return Status::Cancelled("session cancelled");
-  if (!pb.sink()->finished()) {
-    return Status::Internal("sink did not finish");
-  }
-  out.stats = CollectQueryStats(&ctx, pb.sink(), timer.ElapsedSeconds());
-  out.rows = pb.sink()->TakeRows();
-  if (collected != nullptr) {
-    collected->Seal();
-    out.summary_entries = static_cast<int64_t>(collected->inserted_count());
-    out.summary_cached = cache_.Insert(key, collected);
-  }
-  return out;
-}
-
-Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
-  const ServeQuery& q = s->query;
-  const int N = opts_.num_sites;
-  PUSHSIP_ASSIGN_OR_RETURN(VersionedTable build,
-                           catalog_->GetTableWithVersion(q.build_table));
-  PUSHSIP_ASSIGN_OR_RETURN(TablePtr probe_full,
-                           catalog_->GetTable(q.probe_table));
-  const std::vector<std::shared_ptr<Catalog>> shards =
-      PartitionCatalog(*catalog_, opts_.sharded_tables, N);
-
-  // Per-session sites/channels over the server's one shared mesh: links
-  // are the only contended resource, and Transmit bills this session's
-  // contexts, so DistQueryStats::bytes_shipped stays per-query.
-  auto dq = std::make_unique<DistributedQuery>();
-  dq->mesh = mesh_;
-  dq->mesh_shared = true;
-  for (int i = 0; i < N; ++i) {
-    dq->sites.push_back(std::make_unique<SiteEngine>(
-        i, "serve" + std::to_string(s->id) + "_s" + std::to_string(i),
-        shards[static_cast<size_t>(i)]));
-    dq->sites.back()->context().set_batch_size(opts_.batch_size);
-    dq->sites.back()->context().set_exchange_idle_timeout_sec(
-        opts_.exchange_idle_timeout_sec);
-  }
-  auto ch = std::make_shared<ExchangeChannel>(opts_.channel_capacity);
-  ch->set_num_senders(N);
-  dq->channels.push_back(ch);
-
-  ScanOptions scan_opts;
-  scan_opts.delay_every_rows = opts_.scan_delay_every_rows;
-  scan_opts.delay_ms = opts_.scan_delay_ms;
-
-  const Schema probe_schema = MakeInstanceSchema(*probe_full, "r", 0);
-  const Schema build_schema = MakeInstanceSchema(*build.table, "b", 1);
-
-  // Shard fragments: scan the site's probe shard, project the needed
-  // columns, forward to the coordinator. A cached AIP summary attaches to
-  // every shard scan, so pruned rows never reach the wire.
-  std::vector<TableScan*> probe_scans;
-  std::vector<std::string> ship_cols{"r." + q.probe_key};
-  if (!q.probe_agg_col.empty()) ship_cols.push_back("r." + q.probe_agg_col);
-  Schema probe_out;
-  for (int i = 0; i < N; ++i) {
-    SiteEngine& site = *dq->sites[static_cast<size_t>(i)];
-    PlanBuilder& pb = site.NewFragment();
-    PUSHSIP_ASSIGN_OR_RETURN(
-        TablePtr shard,
-        shards[static_cast<size_t>(i)]->GetTable(q.probe_table));
-    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId rn,
-                             pb.ScanTable(shard, probe_schema, scan_opts));
-    PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId proj,
-                             pb.Project(rn, ship_cols));
-    probe_out = pb.schema(proj);
-    auto sender = std::make_unique<ExchangeSender>(
-        &site.context(), "xsend_probe", probe_out, ExchangeMode::kForward,
-        std::vector<int>{},
-        std::vector<ExchangeDestination>{{ch, mesh_->link(i, 0)}});
-    PUSHSIP_RETURN_NOT_OK(pb.FinishWith(proj, std::move(sender)));
-    probe_scans.push_back(pb.source_scans()[0]);
-  }
-
-  // Coordinator fragment (site 0): build-side scan + filter, join against
-  // the merged probe stream, global aggregate.
-  SiteEngine& coord = *dq->sites[0];
-  PlanBuilder& pb = coord.NewFragment();
-  auto recv = std::make_unique<ExchangeReceiver>(&coord.context(),
-                                                 "xrecv_probe", probe_out, ch);
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId rn,
-      pb.Source(std::move(recv),
-                static_cast<double>(probe_full->num_rows())));
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId bn,
-                           pb.ScanTable(build.table, build_schema, scan_opts));
-  PUSHSIP_ASSIGN_OR_RETURN(ExprPtr fcol, pb.ColRef(bn, q.build_filter_col));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId bf,
-      pb.Filter(bn,
-                Cmp(CmpOp::kLt, std::move(fcol),
-                    LitInt(q.build_filter_upper)),
-                q.build_selectivity));
-  PUSHSIP_ASSIGN_OR_RETURN(
-      const PlanBuilder::NodeId jn,
-      pb.Join(bf, rn, {{"b." + q.build_key, "r." + q.probe_key}}));
-  std::vector<AggDesc> aggs{{AggFunc::kCount, "", "cnt"}};
-  if (!q.probe_agg_col.empty()) {
-    aggs.push_back({AggFunc::kSum, "r." + q.probe_agg_col, "total"});
-  }
-  PUSHSIP_ASSIGN_OR_RETURN(const PlanBuilder::NodeId an,
-                           pb.Aggregate(jn, {}, aggs));
-  PUSHSIP_RETURN_NOT_OK(pb.Finish(an));
-  dq->root_sink = pb.sink();
-  TableScan* build_scan = pb.source_scans()[0];
-
-  SessionResult out;
-  std::shared_ptr<AipSet> collected;
-  AipCacheKey key;
-  PUSHSIP_RETURN_NOT_OK(PrepareAipCache(
-      q, build.version, build.table->num_rows(), build_schema, probe_schema,
-      probe_scans, build_scan, &out, &collected, &key));
+  PUSHSIP_RETURN_NOT_OK(
+      PrepareAipCache(q, build, *dq, &out, &collected, &key));
 
   {
     std::lock_guard<std::mutex> lock(s->mu);
@@ -524,14 +422,34 @@ Result<SessionResult> QueryServer::RunOnMesh(const SessionPtr& s) {
     }
   } hook_guard{s};
 
-  PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats d, dq->Run());
-  out.stats.elapsed_sec = d.elapsed_sec;
-  out.stats.result_rows = d.result_rows;
-  out.stats.peak_state_bytes = d.peak_state_bytes;
-  out.stats.rows_pruned = d.rows_pruned;
-  out.stats.rows_source_pruned = d.rows_source_pruned;
-  out.stats.bytes_shipped = d.bytes_shipped;
-  out.stats.link_seconds = d.link_seconds;
+  if (num_sites == 1) {
+    // The session occupies exactly one pooled worker: its one fragment's
+    // sources run sequentially on this thread, which the symmetric
+    // (doubly-pipelined) join accepts as just another input interleaving.
+    ExecContext& ctx = dq->sites[0]->context();
+    Stopwatch timer;
+    for (SourceOperator* src : dq->sites[0]->fragments()[0]->sources()) {
+      if (ctx.cancelled()) break;
+      const Status st = src->Run();
+      if (!st.ok() && st.code() != StatusCode::kCancelled) ctx.SetError(st);
+      if (!ctx.GetError().ok()) break;
+    }
+    PUSHSIP_RETURN_NOT_OK(ctx.GetError());
+    if (ctx.cancelled()) return Status::Cancelled("session cancelled");
+    if (!dq->root_sink->finished()) {
+      return Status::Internal("sink did not finish");
+    }
+    out.stats = CollectQueryStats(&ctx, dq->root_sink, timer.ElapsedSeconds());
+  } else {
+    PUSHSIP_ASSIGN_OR_RETURN(const DistQueryStats d, dq->Run());
+    out.stats.elapsed_sec = d.elapsed_sec;
+    out.stats.result_rows = d.result_rows;
+    out.stats.peak_state_bytes = d.peak_state_bytes;
+    out.stats.rows_pruned = d.rows_pruned;
+    out.stats.rows_source_pruned = d.rows_source_pruned;
+    out.stats.bytes_shipped = d.bytes_shipped;
+    out.stats.link_seconds = d.link_seconds;
+  }
   out.rows = dq->root_sink->TakeRows();
   if (collected != nullptr) {
     collected->Seal();

@@ -94,7 +94,8 @@ struct ServeOptions {
   /// >1 runs sessions as distributed queries over one shared SiteMesh,
   /// with every table in `sharded_tables` partitioned round-robin across
   /// sites (once per table version, by the catalog, on first use). A query
-  /// whose probe table is not sharded falls back to single-site execution.
+  /// whose probe table is not sharded, or that joins a table with itself,
+  /// falls back to single-site execution.
   int num_sites = 1;
   double bandwidth_bps = 1e9;
   double latency_ms = 0.1;
@@ -174,19 +175,17 @@ class QueryServer {
   bool AdmitOrAbort(const SessionPtr& s);
   void ReleaseAdmission(const SessionPtr& s);
 
+  /// Plans the session through the PlanFragmenter — one fragment at one
+  /// site, run inline on the pooled worker; N fragments over the shared
+  /// mesh when run_on_mesh — and runs it.
   Result<SessionResult> Execute(const SessionPtr& s);
-  Result<SessionResult> RunLocal(const SessionPtr& s);
-  Result<SessionResult> RunOnMesh(const SessionPtr& s);
 
-  /// Wires the cross-query cache into a freshly built plan: on a hit,
-  /// attaches the cached summary to every probe scan (and sets
-  /// out->aip_cache_hit); on a miss, taps the build scan with a collector
-  /// whose set the caller seals and Insert()s after the run.
-  Status PrepareAipCache(const ServeQuery& q, uint64_t build_version,
-                         size_t build_rows, const Schema& build_schema,
-                         const Schema& probe_schema,
-                         const std::vector<TableScan*>& probe_scans,
-                         TableScan* build_scan, SessionResult* out,
+  /// Wires the cross-query cache into a freshly planned session: on a hit,
+  /// attaches the cached summary to every probe ("r") scan (and sets
+  /// out->aip_cache_hit); on a miss, taps the build ("b") scan with a
+  /// collector whose set the caller seals and Insert()s after the run.
+  Status PrepareAipCache(const ServeQuery& q, const VersionedTable& build,
+                         const DistributedQuery& dq, SessionResult* out,
                          std::shared_ptr<AipSet>* collected,
                          AipCacheKey* key);
 
@@ -197,8 +196,8 @@ class QueryServer {
 
   /// Multi-site substrate, built once (num_sites > 1): the mesh every
   /// session's fragments transmit over. Shards are not held here: each
-  /// session takes the catalog's memoized shards of the versions it reads
-  /// (PartitionCatalog).
+  /// session takes the catalog's memoized shards of the probe version it
+  /// reads (Catalog::GetShards).
   std::shared_ptr<SiteMesh> mesh_;
 
   mutable std::mutex admit_mu_;

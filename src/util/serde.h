@@ -82,7 +82,7 @@ class Reader {
     return Status::OK();
   }
   Status ReadBytes(std::string* out) {
-    uint64_t n;
+    uint64_t n = 0;
     PUSHSIP_RETURN_NOT_OK(ReadU64(&n));
     if (pos_ + n > bytes_.size()) return Truncated();
     out->assign(bytes_.data() + pos_, n);

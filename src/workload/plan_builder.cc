@@ -88,14 +88,6 @@ Result<PlanBuilder::NodeId> PlanBuilder::Scan(const std::string& table_name,
   return Register(std::move(scan), std::move(pnode), std::move(rec));
 }
 
-Result<PlanBuilder::NodeId> PlanBuilder::ScanShard(
-    const std::string& table_name, Schema instance_schema, ScanOptions options,
-    bool remote) {
-  PUSHSIP_ASSIGN_OR_RETURN(TablePtr table, catalog_->GetTable(table_name));
-  return ScanTable(std::move(table), std::move(instance_schema),
-                   std::move(options), remote);
-}
-
 Result<PlanBuilder::NodeId> PlanBuilder::ScanTable(TablePtr table,
                                                    Schema instance_schema,
                                                    ScanOptions options,

@@ -55,23 +55,19 @@ class PlanBuilder {
   PlanBuilder& operator=(const PlanBuilder&) = delete;
 
   /// Scans `table` as instance `alias`. `remote` marks the scan as sitting
-  /// behind a simulated link (its ScanOptions should carry the link's
-  /// transfer hook; see RemoteNode::WrapScanOptions).
+  /// behind a simulated link (its ScanOptions should carry the link; see
+  /// RemoteNode::WrapScanOptions).
   Result<NodeId> Scan(const std::string& table, const std::string& alias,
                       ScanOptions options = {}, bool remote = false);
 
   /// Scans `table` with a caller-supplied instance schema (attribute ids
-  /// included) instead of allocating a fresh instance. Used for partitioned
-  /// scans: every site's shard of one logical table carries the same
-  /// attributes, so streams merged by an exchange stay AIP-correlatable.
-  Result<NodeId> ScanShard(const std::string& table, Schema instance_schema,
-                           ScanOptions options = {}, bool remote = false);
-
-  /// Like ScanShard but over an explicit TablePtr, bypassing this builder's
-  /// catalog. The adaptive runtime's migration recipes use it to rebuild a
-  /// fragment on a site whose catalog does not hold the scanned partition —
-  /// the data is the *original* site's shard (a replica, in the simulation
-  /// the shared table).
+  /// included) instead of allocating a fresh instance, bypassing this
+  /// builder's catalog. Used for partitioned scans: every site's shard of
+  /// one logical table carries the same attributes, so streams merged by an
+  /// exchange stay AIP-correlatable; and by rebuild recipes, whose host
+  /// site's catalog may not hold the scanned partition (the data is the
+  /// *original* site's shard — a replica, in the simulation the shared
+  /// table).
   Result<NodeId> ScanTable(TablePtr table, Schema instance_schema,
                            ScanOptions options = {}, bool remote = false);
 

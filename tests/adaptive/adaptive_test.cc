@@ -305,9 +305,9 @@ TEST(AdaptiveTest, PermanentSiteLossMigratesFragmenterBuiltFragment) {
       lp.Aggregate(join, {}, {{AggFunc::kSum, "l.l_quantity", "q"}});
 
   auto run = [&](bool kill) -> AdaptiveOutcome {
-    PlanFragmenter fragmenter(catalogs, /*bandwidth_bps=*/1e9,
-                              /*latency_ms=*/0.1);
+    PlanFragmenter fragmenter(catalogs);
     FragmenterOptions options;
+    options.latency_ms = 0.1;
     options.batch_size = 256;  // several windows per attempt
     if (kill) {
       options.fault_injector = std::make_shared<FaultInjector>();

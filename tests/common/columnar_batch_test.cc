@@ -54,8 +54,11 @@ Batch RandomBatch(Random* rng, size_t rows) {
           if (rng->Bernoulli(0.1)) {
             col.AppendNull();
           } else {
-            col.AppendValue(Value::String(
-                "s" + std::to_string(rng->UniformInt(0, 7))));
+            // append, not "s" + to_string(...): GCC 12 -O2 reports a
+            // false -Wrestrict on the latter.
+            std::string s = "s";
+            s += std::to_string(rng->UniformInt(0, 7));
+            col.AppendValue(Value::String(std::move(s)));
           }
         }
         break;

@@ -1,5 +1,8 @@
 #include "common/status.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace pushsip {
@@ -81,6 +84,23 @@ TEST(ResultTest, AssignOrReturnMacro) {
 TEST(ResultTest, ValueOrDieMoves) {
   Result<std::string> r = std::string("hello");
   EXPECT_EQ(std::move(r).ValueOrDie(), "hello");
+}
+
+Result<std::vector<std::string>> Words() {
+  return std::vector<std::string>{"one", "two", "three"};
+}
+
+// `*f()` on a temporary Result moves the value out, so a range-for over it
+// iterates a live vector (the lvalue overload would dangle: the Result dies
+// at the end of the range-init expression).
+TEST(ResultTest, DereferencedTemporaryOutlivesTheResult) {
+  std::string joined;
+  for (const std::string& w : *Words()) joined += w;
+  EXPECT_EQ(joined, "onetwothree");
+
+  const Result<std::vector<std::string>> held = Words();
+  EXPECT_EQ((*held)[1], "two");  // lvalue: still a reference, no copy
+  EXPECT_EQ(&*held, &*held);
 }
 
 }  // namespace

@@ -243,8 +243,8 @@ TEST(ChaosTest, FilterShipperReportsDownedLinkAndReshipsIdempotently) {
   SiteEngine site(0, "site0", catalog);
   const TablePtr lineitem = *catalog->GetTable("lineitem");
   const Schema schema = MakeInstanceSchema(*lineitem, "l", 1);
-  PlanBuilder& pb = site.NewFragment();
-  ASSERT_TRUE(pb.ScanShard("lineitem", schema).ok());
+  PlanBuilder& pb = site.PublishFragment(site.NewDetachedFragment());
+  ASSERT_TRUE(pb.ScanTable(lineitem, schema).ok());
 
   auto injector = std::make_shared<FaultInjector>();
   auto link = std::make_shared<SimLink>(1e9, 0.0);

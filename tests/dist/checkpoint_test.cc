@@ -266,8 +266,8 @@ TEST(DeliveredFilterLedgerTest, PublishFragmentReattachesDeliveredFilters) {
   const Schema schema = MakeInstanceSchema(*lineitem, "l", 1);
   const AttrId partkey = schema.field(1).attr;  // l.l_partkey
 
-  PlanBuilder& before = site.NewFragment();
-  ASSERT_TRUE(before.ScanShard("lineitem", schema).ok());
+  PlanBuilder& before = site.PublishFragment(site.NewDetachedFragment());
+  ASSERT_TRUE(before.ScanTable(lineitem, schema).ok());
 
   auto set = std::make_shared<AipSet>(AipSetKind::kBloom, 64);
   set->Insert(42);
@@ -283,7 +283,7 @@ TEST(DeliveredFilterLedgerTest, PublishFragmentReattachesDeliveredFilters) {
   // ledger's deliveries the moment it is published. Rebuild recipes reuse
   // the original instance schema, so the AttrIds line up with the ledger.
   auto rebuilt = site.NewDetachedFragment();
-  ASSERT_TRUE(rebuilt->ScanShard("lineitem", schema).ok());
+  ASSERT_TRUE(rebuilt->ScanTable(lineitem, schema).ok());
   PlanBuilder& published = site.PublishFragment(std::move(rebuilt));
   ASSERT_EQ(published.source_scans().size(), 1u);
   EXPECT_TRUE(published.source_scans()[0]->HasSourceFilter("aip:q17-part"));
@@ -293,7 +293,7 @@ TEST(DeliveredFilterLedgerTest, PublishFragmentReattachesDeliveredFilters) {
   auto unrelated = site.NewDetachedFragment();
   const TablePtr part = *catalog->GetTable("part");
   ASSERT_TRUE(
-      unrelated->ScanShard("part", MakeInstanceSchema(*part, "p", 3)).ok());
+      unrelated->ScanTable(part, MakeInstanceSchema(*part, "p", 3)).ok());
   PlanBuilder& published2 = site.PublishFragment(std::move(unrelated));
   EXPECT_FALSE(
       published2.source_scans()[0]->HasSourceFilter("aip:q17-part"));

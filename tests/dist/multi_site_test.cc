@@ -191,8 +191,8 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
   for (int i = 0; i < kSites; ++i) {
     SiteEngine& site = *q.sites[static_cast<size_t>(i)];
     {  // X map: fast, unpaced.
-      PlanBuilder& pb = site.NewFragment();
-      auto sid = pb.ScanShard("x", x_schema);
+      PlanBuilder& pb = site.PublishFragment(site.NewDetachedFragment());
+      auto sid = pb.ScanTable(*site.catalog()->GetTable("x"), x_schema);
       ASSERT_TRUE(sid.ok());
       auto sender = std::make_unique<ExchangeSender>(
           &site.context(), "xsend_x", x_schema, ExchangeMode::kHashPartition,
@@ -200,11 +200,12 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
       ASSERT_TRUE(pb.FinishWith(*sid, std::move(sender)).ok());
     }
     {  // Y map: paced, so X's state completes while Y still streams.
-      PlanBuilder& pb = site.NewFragment();
+      PlanBuilder& pb = site.PublishFragment(site.NewDetachedFragment());
       ScanOptions paced;
       paced.delay_every_rows = 64;
       paced.delay_ms = 2.0;
-      auto sid = pb.ScanShard("y", y_schema, paced);
+      auto sid =
+          pb.ScanTable(*site.catalog()->GetTable("y"), y_schema, paced);
       ASSERT_TRUE(sid.ok());
       auto sender = std::make_unique<ExchangeSender>(
           &site.context(), "xsend_y", y_schema, ExchangeMode::kHashPartition,
@@ -212,7 +213,7 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
       ASSERT_TRUE(pb.FinishWith(*sid, std::move(sender)).ok());
     }
     {  // Compute: X ⋈ Y over this site's key range.
-      PlanBuilder& pb = site.NewFragment();
+      PlanBuilder& pb = site.PublishFragment(site.NewDetachedFragment());
       auto rx = pb.Source(
           std::make_unique<ExchangeReceiver>(pb.context(), "xrecv_x",
                                              x_schema,
@@ -246,7 +247,8 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
     }
   }
   {  // Coordinator: union of both sites' join rows.
-    PlanBuilder& pb = q.sites[0]->NewFragment();
+    PlanBuilder& pb = q.sites[0]->PublishFragment(
+        q.sites[0]->NewDetachedFragment());
     auto recv = pb.Source(
         std::make_unique<ExchangeReceiver>(pb.context(), "xrecv_out",
                                            join_out, ch_final),
@@ -264,6 +266,44 @@ TEST(MultiSiteTest, PartitionLocalStateNeverShipsAcrossTheMesh) {
   // available sources are partition-local.
   for (const auto& site : q.sites) {
     EXPECT_EQ(site->remote_filter_pruned(), 0);
+  }
+}
+
+// The fragmenter derives the Q17 compute receivers' row/NDV hints from
+// the producers' estimates. Cost-based AIP prices its decisions with them,
+// so they must equal the closed-form values: the broadcast part stream
+// holds part_rows * sel rows of as many keys, and each lineitem partition
+// holds li_rows / N rows of part_rows / N keys (l_partkey references part).
+TEST(MultiSiteTest, Q17ReceiverHintsMatchHandEstimates) {
+  auto catalog = TinyTpchCatalog();
+  const double part_rows =
+      static_cast<double>((*catalog->GetTable("part"))->num_rows());
+  const double li_rows =
+      static_cast<double>((*catalog->GetTable("lineitem"))->num_rows());
+  for (const int sites : {1, 4}) {
+    ScaleOutOptions options;
+    options.num_sites = sites;
+    options.weak_part_filter = true;
+    auto built = BuildScaleOutQuery(ScaleOutQuery::kQ17, catalog, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    int checked = 0;
+    for (const ExchangeConsumerSpec& c : (*built)->exchange_consumers) {
+      const std::string& name = c.node->op->name();
+      const double rows = c.node->exchange_est_rows.load();
+      if (name == "xrecv_part") {
+        EXPECT_EQ(rows, part_rows * (1.0 / 40));
+        ASSERT_EQ(c.node->exchange_ndv.size(), 1u);
+        EXPECT_EQ(c.node->exchange_ndv.begin()->second, part_rows * (1.0 / 40));
+      } else if (name == "xrecv_l1" || name == "xrecv_l2") {
+        EXPECT_EQ(rows, li_rows / sites);
+        ASSERT_EQ(c.node->exchange_ndv.size(), 1u);
+        EXPECT_EQ(c.node->exchange_ndv.begin()->second, part_rows / sites);
+      } else {
+        continue;
+      }
+      ++checked;
+    }
+    EXPECT_EQ(checked, 3 * sites);
   }
 }
 
